@@ -6,7 +6,7 @@ GO ?= go
 # to keep CI fast (the full suite still runs race-free in `test`).
 RACE_PKGS = ./internal/transport/... ./internal/p2p/...
 
-.PHONY: all build test race bench bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing fmt fmt-check vet examples conformance soak soak-smoke soak-docker ci
+.PHONY: all build test race bench bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing fmt fmt-check vet examples perfbench-check conformance soak soak-smoke soak-docker ci
 
 all: build
 
@@ -25,37 +25,48 @@ examples:
 	$(GO) vet ./examples/... ./cmd/...
 	$(GO) build ./examples/... ./cmd/...
 
-# Cross-backend conformance: the identical scenario table against the
-# simulator Client and the live Client (in-memory fabric and TCP), the
-# crash-durability contract (write with r=3, kill the owner, lose
-# nothing), the divergence-heal contract (corrupt a replica, anti-entropy
-# repairs exactly the divergence, deletes stay deleted), the write-concern
-# contract (w=2 succeeds past a dead replica, w=3 fails with honest ack
-# counts), the read-repair contract (a fallback read heals a stale owner
-# by exactly the divergence), the ring-size estimate on a ring past
-# the old 128-peer walk cap, the mid-scan churn contract (a paged
-# scan rides out its serving peer's crash with no loss or duplication),
-# and the restart-durability contract (crash a durable owner mid-WAL,
-# restart it on the same data dir, lose no acked write, resurrect no
-# delete, re-ship only the downtime delta), and the cache stale-safety
-# contract (route + hot-key caches stay correct across an arc-moving
-# join and an owner crash on all three backends) — race detector on. The
-# faulted variant (TestFaultedRing) re-runs the scenario table on both
-# live fabrics under a seeded 5%-drop/20ms-jitter fault plan plus a
-# partition-heal case, and the overload suite pins the p2p contract that
-# a shedding peer is retried once and never evicted. The transport
-# package contributes the wire-level contracts: codec negotiation (incl.
-# a mixed binary/JSON ring and legacy no-handshake peers), TLS round
-# trips, and overload shedding (saturate past the in-flight cap: typed
-# ErrOverloaded, bounded goroutines, recovery).
+# The benchmark harness is a nested module that `go test ./...` does not
+# reach, yet it compiles against the public API: vet and unit-test it so
+# an API change cannot silently break the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+# Conformance: the identical Client scenario table on the in-memory
+# fabric, on TCP and on a mixed-codec TCP ring, plus the contracts that
+# ride along — race detector on:
+#   - crash durability: write with r=3, kill the owner, lose nothing;
+#   - divergence heal: corrupt a replica, anti-entropy repairs exactly the
+#     divergence, deletes stay deleted;
+#   - write concern: w=2 succeeds past a dead replica, w=3 fails with
+#     honest ack counts;
+#   - read repair: a fallback read heals a stale owner by exactly the
+#     divergence;
+#   - the ring-size estimate on a ring past the old 128-peer walk cap;
+#   - mid-scan churn: a paged scan rides out its serving peer's crash
+#     with no loss or duplication;
+#   - restart durability: crash a durable owner mid-WAL, restart it on
+#     the same data dir, lose no acked write, resurrect no delete,
+#     re-ship only the downtime delta;
+#   - cache stale-safety: route + hot-key caches stay correct across an
+#     arc-moving join and an owner crash;
+#   - value ownership: reused put buffers and modified get/scan results
+#     never change stored values on the in-memory fabric.
+# The faulted variant (TestFaultedRing) re-runs the scenario table on both
+# fabrics under a seeded 5%-drop/20ms-jitter fault plan plus a
+# partition-heal case, and the overload suite pins the p2p contract that a
+# shedding peer is retried once and never evicted. The transport package
+# contributes the wire-level contracts: codec negotiation (incl. a mixed
+# binary/JSON ring and legacy no-handshake peers), TLS round trips, and
+# overload shedding (saturate past the in-flight cap: typed ErrOverloaded,
+# bounded goroutines, recovery).
 conformance:
-	$(GO) test -race -run 'TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety' .
-	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestRangeQueryCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestHotKeyCache|TestAlpha' ./internal/p2p/
+	$(GO) test -race -run 'TestConformance|TestFaultedRing|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanSessionCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestCacheStaleSafety|TestClientValuesNotAliased' .
+	$(GO) test -race -run 'TestConformance|TestCrashDurability|TestDivergenceHeal|TestWriteConcern|TestReadRepair|TestRingSizeEstimate|TestLookupCancelled|TestScanSessionCancelled|TestScanChurn|TestRestartDurability|TestDeleteSurvivesRestart|TestOverloadedPeerStaysLinked|TestOverloadRetryOnce|TestOverloadSurfacesTypedError|TestRouteCache|TestHotKeyCache|TestAlpha' ./internal/p2p/
 	$(GO) test -race -run 'TestCodecNegotiation|TestLegacyFramesAccepted|TestTLS|TestOverloadShedding|TestClientInflightCapOverload' ./internal/transport/
 
-# Replication bench smoke: the replicated write path compiles and runs on
-# both backends, including the ack-awaited write-concern ladder (w=1 vs
-# quorum vs all) whose overhead CI tracks in bench.txt.
+# Replication bench smoke: the live replicated write path compiles and
+# runs, including the ack-awaited write-concern ladder (w=1 vs quorum vs
+# all) whose overhead CI tracks in bench.txt.
 bench-replication:
 	$(GO) test -run=NONE -bench='PutReplicated|PutWriteConcern' -benchtime=1x .
 
@@ -135,4 +146,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test examples race conformance bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing bench
+ci: fmt-check vet build test examples perfbench-check race conformance bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing bench

@@ -13,19 +13,19 @@ import (
 )
 
 // BenchmarkScan streams a populated arc end to end through the paged
-// iterator on the simulator backend. The two sizes bracket the page
+// iterator on a 16-node in-memory cluster. The two sizes bracket the page
 // machinery: 1k items is a handful of pages, 100k items exercises hundreds
 // of cursor hand-offs across shard boundaries.
 func BenchmarkScan(b *testing.B) {
 	for _, n := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("items=%d", n), func(b *testing.B) {
 			ctx := context.Background()
-			ov, err := Build(Config{Size: 128, Seed: 21, Keys: UniformKeys()})
+			c, err := StartCluster(ctx, 16, WithSeed(21), WithKeys(UniformKeys()))
 			if err != nil {
 				b.Fatal(err)
 			}
-			cl := ov.Client()
-			defer cl.Close()
+			defer c.Close()
+			cl := c.Node(0)
 			lo, hi := KeyFromFloat(0.1), KeyFromFloat(0.9)
 			val := []byte("v")
 			for i := 0; i < n; i++ {

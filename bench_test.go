@@ -404,24 +404,6 @@ func benchLivePutGetTCP(b *testing.B, topts ...transport.TCPOption) {
 	})
 }
 
-// BenchmarkPutReplicated times a replicated write (owner + 2 successor
-// copies) through the simulator — the baseline for the replicated-path
-// perf trajectory.
-func BenchmarkPutReplicated(b *testing.B) {
-	ov, err := Build(Config{Size: 800, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.Derive(12, "putrepl-bench")
-	val := []byte("replicated-value")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ov.PutReplicated(Key(r.Uint64()), val, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLiveClusterPutReplicated times the live replicated write path
 // on the in-memory fabric: route to the owner, owner write, parallel
 // replicate pushes to the owner's successor-list chain.

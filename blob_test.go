@@ -11,15 +11,16 @@ import (
 	"time"
 )
 
+// blobTestClient boots an 8-node in-memory cluster and returns one node
+// as the client; the cluster shuts down with the test.
 func blobTestClient(t *testing.T) Client {
 	t.Helper()
-	ov, err := Build(Config{Size: 64, Seed: 9, Keys: UniformKeys()})
+	c, err := StartCluster(context.Background(), 8, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := ov.Client()
-	t.Cleanup(func() { _ = cl.Close() })
-	return cl
+	t.Cleanup(func() { _ = c.Close() })
+	return c.Node(0)
 }
 
 func blobData(n int) []byte {

@@ -7,15 +7,14 @@ import (
 	"testing"
 )
 
-// TestCacheStaleSafety is the cross-backend cache contract: with the route
-// and hot-key caches on (the default), a crash that moves arcs must never
-// produce a stale answer — post-crash writes re-resolve their routes,
-// overwritten values win immediately, and deletes do not resurrect from a
-// cached copy. The same scenario runs against all three backends, like the
-// main conformance table.
+// TestCacheStaleSafety is the cache contract: with the route and hot-key
+// caches on (the default), a crash that moves arcs must never produce a
+// stale answer — post-crash writes re-resolve their routes, overwritten
+// values win immediately, and deletes do not resurrect from a cached copy.
+// The same scenario runs on the in-memory fabric and on TCP, reusing the
+// main conformance table's harnesses.
 func TestCacheStaleSafety(t *testing.T) {
 	harnesses := []func(*testing.T) *conformanceHarness{
-		simHarness,
 		memClusterHarness,
 		tcpClusterHarness,
 	}
@@ -90,7 +89,7 @@ func runCacheStaleSafety(t *testing.T, h *conformanceHarness) {
 		}
 	}
 
-	// Both caches' counters surface through Info on every backend.
+	// Both caches' counters surface through Info.
 	info, err := cl.Info(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -10,13 +10,19 @@ import (
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
-// Client is the unified public surface of the overlay: the same
-// operations against either backend — the in-process simulator
-// (NewClient) or the live message-passing runtime (StartNode /
-// StartCluster). Every method takes a context whose cancellation or
-// deadline aborts the operation, and failures surface as typed errors
-// (ErrNotFound, ErrRoutingFailed, ErrClosed, ErrUnavailable,
-// ErrBadRange) that callers test with errors.Is.
+// Client is the public surface of the overlay's key-value runtime. *Node
+// implements it, whether the node runs on TCP (StartNode) or on the
+// in-memory fabric (StartCluster); the interface lets wrappers (retrying
+// or instrumented clients) and helpers such as the blob layer take any of
+// them. Every method takes a context whose cancellation or deadline aborts
+// the operation, and failures surface as typed errors (ErrNotFound,
+// ErrRoutingFailed, ErrClosed, ErrUnavailable, ErrBadRange) that callers
+// test with errors.Is.
+//
+// Values are owned by whoever holds them, never shared: Put copies value
+// before it returns, so the caller may reuse the buffer at once, and the
+// Value of a GetResponse or a scanned Item is the caller's own copy, free
+// to modify without touching the stored item.
 //
 // Implementations are safe for concurrent use by multiple goroutines.
 type Client interface {
@@ -37,15 +43,6 @@ type Client interface {
 	// fail). Construction is lazy: no messages are sent until the first
 	// Next. Iterate with Next/Item/Err or range over All.
 	Scan(ctx context.Context, start, end Key, opts ...ScanOption) *Scanner
-	// RangeQuery returns up to limit items with keys in the clockwise arc
-	// [start, end), in clockwise key order. start > end wraps around the
-	// top of the identifier circle. limit <= 0 means no limit; start ==
-	// end is ErrBadRange.
-	//
-	// Deprecated: RangeQuery buffers the whole result in memory. Use Scan,
-	// which streams page by page; RangeQuery is a thin wrapper over it and
-	// returns byte-identical results.
-	RangeQuery(ctx context.Context, start, end Key, limit int) (RangeResponse, error)
 	// PutBlob chunks the stream r into fixed-size pieces stored under the
 	// contiguous key sub-range [base+1, base+1+chunks) with a JSON manifest
 	// at base, so a whole blob reads back as one Scan. The returned
@@ -62,7 +59,7 @@ type Client interface {
 	DeleteBlob(ctx context.Context, base Key) error
 	// Lookup routes to the owner of key without touching the data layer.
 	Lookup(ctx context.Context, key Key) (LookupResponse, error)
-	// Info reports a snapshot of the backend's view of the overlay.
+	// Info reports a snapshot of the serving peer's view of the overlay.
 	Info(ctx context.Context) (InfoResponse, error)
 	// Close releases the client. Further calls return ErrClosed.
 	Close() error
@@ -134,16 +131,12 @@ func writeConcernFrom(ctx context.Context) int {
 	return w
 }
 
-// OwnerRef identifies the peer that served an operation in a
-// backend-neutral way: the key is always set; Addr is the transport
-// address on the live backend; ID is the simulator node id.
+// OwnerRef identifies the peer that served an operation.
 type OwnerRef struct {
 	// Key is the peer's position on the identifier circle.
 	Key Key
-	// Addr is the live backend's transport address ("" on the simulator).
+	// Addr is the peer's transport address.
 	Addr string
-	// ID is the simulator's node id (0 and meaningless on the live backend).
-	ID NodeID
 }
 
 // PutResponse reports a Put.
@@ -182,18 +175,6 @@ type DeleteResponse struct {
 	Acks int
 }
 
-// RangeResponse reports a RangeQuery.
-type RangeResponse struct {
-	// Items are the matching records in clockwise key order from the range
-	// start.
-	Items []Item
-	// Cost is the total message cost: routing to the range start plus one
-	// hop per additional peer scanned along the ring.
-	Cost int
-	// PeersScanned is the number of peers whose shards were visited.
-	PeersScanned int
-}
-
 // LookupResponse reports a Lookup.
 type LookupResponse struct {
 	// Owner is the peer owning the key.
@@ -220,21 +201,20 @@ type SyncStats struct {
 	Dropped int
 }
 
-// InfoResponse is a snapshot of the backend's view of the overlay. The
-// simulator has global knowledge; a live node reports only its local state.
+// InfoResponse is a snapshot of the serving peer's view of the overlay. A
+// live node has no global knowledge: it reports its local state plus
+// estimates.
 type InfoResponse struct {
-	// Backend names the implementation: "simulator" or "p2p".
-	Backend string
-	// Peers is the number of alive peers. The simulator knows it exactly.
-	// A live node reports an exact successor-pointer ring walk while the
-	// gossip size estimate says the ring is small enough (up to 128 peers),
-	// and the gossip estimate itself beyond that — an honest estimate at
-	// any scale instead of the former -1. Treat it as an estimate either
-	// way: concurrent joins and crashes skew both sources.
+	// Peers is the number of alive peers: an exact successor-pointer ring
+	// walk while the gossip size estimate says the ring is small enough
+	// (up to 128 peers), and the gossip estimate itself beyond that — an
+	// honest estimate at any scale instead of the former -1. Treat it as
+	// an estimate either way: concurrent joins and crashes skew both
+	// sources.
 	Peers int
-	// SizeEstimate is the raw gossip-maintained ring-size estimate a live
-	// node blends from successor-list density and neighbour exchanges (the
-	// exact count on the simulator). Peers derives from it.
+	// SizeEstimate is the raw gossip-maintained ring-size estimate the
+	// node blends from successor-list density and neighbour exchanges.
+	// Peers derives from it.
 	SizeEstimate float64
 	// Replicas is the replication factor r the client writes with: every
 	// item is stored at its owner and on the owner's r-1 ring successors
@@ -244,36 +224,30 @@ type InfoResponse struct {
 	// the client's writes require (1 = the owner's ack alone);
 	// ContextWithWriteConcern overrides it per call.
 	WriteConcern int
-	// Self is the serving peer (zero on the simulator, which has no
-	// distinguished vantage point).
+	// Self is the serving peer.
 	Self OwnerRef
-	// Successor and Predecessor are the serving peer's ring pointers
-	// (live backend only).
+	// Successor and Predecessor are the serving peer's ring pointers.
 	Successor, Predecessor OwnerRef
-	// OutLinks and InLinks count the serving peer's long-range links
-	// (live backend only).
+	// OutLinks and InLinks count the serving peer's long-range links.
 	OutLinks, InLinks int
-	// StoredItems is the primary item count (replica copies excluded): the
-	// local shard on the live backend, the sum over all shards on the
-	// simulator.
+	// StoredItems is the serving peer's primary item count (replica
+	// copies excluded).
 	StoredItems int
 	// ReplicaItems is the number of replica copies the serving peer holds
-	// for its predecessors' arcs (live backend only).
+	// for its predecessors' arcs.
 	ReplicaItems int
-	// Tombstones is the number of deletes remembered for anti-entropy and
-	// not yet TTL-collected (the serving peer's on the live backend, the
-	// overlay total on the simulator).
+	// Tombstones is the number of deletes the serving peer remembers for
+	// anti-entropy and has not yet TTL-collected.
 	Tombstones int
-	// AntiEntropy accumulates the backend's digest-sync repair work: the
-	// serving peer's lifetime totals on the live backend, the overlay's on
-	// the simulator.
+	// AntiEntropy accumulates the serving peer's lifetime digest-sync
+	// repair work.
 	AntiEntropy SyncStats
 	// Durable reports the serving peer runs with a data directory (WAL +
 	// compacted snapshots; see NodeConfig.DataDir / WithDataDir).
 	Durable bool
 	// WALBytes and WALFrames are the size and intact frame count of the
 	// serving peer's write-ahead log since its last snapshot — the replay
-	// cost of a crash right now (durable live backend only).
+	// cost of a crash right now (durable nodes only).
 	WALBytes  int64
 	WALFrames int
 	// LastSnapshot is when the serving peer last wrote a compacted
@@ -290,39 +264,28 @@ type InfoResponse struct {
 	HotKeyCacheHits, HotKeyCacheMisses uint64
 }
 
-// options collects the functional construction options shared by NewClient
-// and StartCluster.
+// options collects the functional construction options of StartCluster.
 type options struct {
-	size              int
-	seed              int64
-	keys              KeyDistribution
-	degrees           DegreeDistribution
-	algorithm         Algorithm
-	disablePowerOfTwo bool
-	oraclePartitions  bool
-	sampleSize        int
-	walkSteps         int
-	stabilizeRounds   int
-	replicas          int
-	writeConcern      int
-	autoMaintenance   time.Duration
-	antiEntropy       time.Duration
-	dataDir           string
-	fsync             string
-	transportWrapper  func(transport.Transport) transport.Transport
-	alpha             int
-	routeCacheSize    int
-	routeCacheTTL     time.Duration
-	hotKeyCache       int
+	seed             int64
+	keys             KeyDistribution
+	degrees          DegreeDistribution
+	stabilizeRounds  int
+	replicas         int
+	writeConcern     int
+	autoMaintenance  time.Duration
+	antiEntropy      time.Duration
+	dataDir          string
+	fsync            string
+	transportWrapper func(transport.Transport) transport.Transport
+	alpha            int
+	routeCacheSize   int
+	routeCacheTTL    time.Duration
+	hotKeyCache      int
 }
 
-// Option customises client construction. The zero configuration builds a
-// 1000-peer Oscar overlay on Gnutella-like keys with constant budgets.
+// Option customises StartCluster. The zero configuration boots nodes on
+// Gnutella-like keys with constant link budgets of 16.
 type Option func(*options)
-
-// WithSize sets the simulator overlay's target peer count (NewClient only;
-// StartCluster takes its size as an argument).
-func WithSize(n int) Option { return func(o *options) { o.size = n } }
 
 // WithSeed seeds all randomness; runs with equal seeds are identical.
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
@@ -333,34 +296,16 @@ func WithKeys(d KeyDistribution) Option { return func(o *options) { o.keys = d }
 // WithDegrees sets the per-peer link budget distribution.
 func WithDegrees(d DegreeDistribution) Option { return func(o *options) { o.degrees = d } }
 
-// WithAlgorithm selects the construction algorithm (simulator only; the
-// live runtime always runs Oscar).
-func WithAlgorithm(a Algorithm) Option { return func(o *options) { o.algorithm = a } }
-
-// WithoutPowerOfTwo turns off the two-choices in-degree balancing rule.
-func WithoutPowerOfTwo() Option { return func(o *options) { o.disablePowerOfTwo = true } }
-
-// WithOraclePartitions uses exact global-knowledge medians instead of
-// random-walk estimates (simulator only; for calibration).
-func WithOraclePartitions() Option { return func(o *options) { o.oraclePartitions = true } }
-
-// WithSampling tunes median estimation: samples per level and walk steps
-// per sample (0 keeps the default for either).
-func WithSampling(samples, steps int) Option {
-	return func(o *options) { o.sampleSize, o.walkSteps = samples, steps }
-}
-
 // WithStabilizeRounds sets how many stabilisation rounds StartCluster runs
-// after boot (live backend only).
+// after boot.
 func WithStabilizeRounds(n int) Option { return func(o *options) { o.stabilizeRounds = n } }
 
 // WithReplicas sets the replication factor r (default 1 = no replication):
 // every Put stores the item at its owner and pushes copies to the owner's
 // r-1 immediate ring successors, Delete propagates along the same chain,
-// and Get falls back through it when the owner is unreachable. Both
-// backends honour it, so the durability contract is identical on the
-// simulator and the live runtime: killing fewer than r consecutive ring
-// members loses no data once maintenance has re-replicated.
+// and Get falls back through it when the owner is unreachable: killing
+// fewer than r consecutive ring members loses no data once maintenance
+// has re-replicated.
 func WithReplicas(r int) Option { return func(o *options) { o.replicas = r } }
 
 // WithWriteConcern sets the default write concern w (default 1): a Put or
@@ -370,15 +315,13 @@ func WithReplicas(r int) Option { return func(o *options) { o.replicas = r } }
 // shortfall; it holds wherever it was acked and anti-entropy converges
 // the rest. w is clamped to the replication factor (WithReplicas), since
 // a chain cannot produce more acks than it has members; use
-// ContextWithWriteConcern for an unclamped per-call requirement. Both
-// backends honour it identically.
+// ContextWithWriteConcern for an unclamped per-call requirement.
 func WithWriteConcern(w int) Option { return func(o *options) { o.writeConcern = w } }
 
-// WithDataDir makes cluster nodes durable (StartCluster only): node i
-// logs every storage mutation to a write-ahead log under dir/node-i and
-// compacts it into snapshots, so a node restarted on the same
-// subdirectory recovers its shard instead of re-filling it over the
-// network. The simulator ignores it.
+// WithDataDir makes cluster nodes durable: node i logs every storage
+// mutation to a write-ahead log under dir/node-i and compacts it into
+// snapshots, so a node restarted on the same subdirectory recovers its
+// shard instead of re-filling it over the network.
 func WithDataDir(dir string) Option { return func(o *options) { o.dataDir = dir } }
 
 // WithFsync selects the WAL fsync policy ("always", "interval", or
@@ -391,7 +334,7 @@ func WithFsync(policy string) Option { return func(o *options) { o.fsync = polic
 // per node so rounds do not synchronise across the cluster) and a
 // long-range rewiring pass every 16 stabilisations. Zero (the default)
 // leaves maintenance manual: call Stabilize/StabilizeAll/RewireAll or
-// Node.StartMaintenance yourself. Live backend only.
+// Node.StartMaintenance yourself.
 func WithAutoMaintenance(interval time.Duration) Option {
 	return func(o *options) { o.autoMaintenance = interval }
 }
@@ -401,14 +344,13 @@ func WithAutoMaintenance(interval time.Duration) Option {
 // NodeConfig.WrapTransport. Fault harnesses pass a
 // faultnet.Network's Wrap here to subject the whole cluster to
 // deterministic, seeded drop/latency/duplication/partition faults; see
-// internal/faultnet. Nil (the default) leaves endpoints bare. Live
-// backend only; the simulator has no transport to wrap.
+// internal/faultnet. Nil (the default) leaves endpoints bare.
 func WithTransportWrapper(wrap func(transport.Transport) transport.Transport) Option {
 	return func(o *options) { o.transportWrapper = wrap }
 }
 
 // WithAntiEntropy starts the periodic digest sync on every node
-// StartCluster boots (live backend, with WithAutoMaintenance): each node,
+// StartCluster boots (together with WithAutoMaintenance): each node,
 // as the owner of its arc, reconciles its replica chain against
 // Merkle-style arc digests every interval and ships only diverged keys —
 // repairing writes a replica missed, deletes that raced a crash, and stray
@@ -423,9 +365,8 @@ func WithAntiEntropy(interval time.Duration) Option {
 // probes the current peer plus up to α-1 backtrack candidates
 // concurrently, so a dead or slow hop is recovered from answers already
 // in hand instead of a serial ping round. Higher α spends α-1 extra
-// messages per hop to cut the lookup tail under churn. Both live
-// fabrics honour it; the simulator's synchronous router has no tail to
-// cut and treats every α alike.
+// messages per hop to cut the lookup tail under churn. Both fabrics
+// (in-memory and TCP) honour it.
 func WithAlpha(alpha int) Option { return func(o *options) { o.alpha = alpha } }
 
 // WithRouteCache configures the per-node route cache: an LRU of key →
@@ -458,31 +399,4 @@ func buildOptions(opts []Option) options {
 		f(&o)
 	}
 	return o
-}
-
-// NewClient builds a simulator-backed Client: an in-process overlay grown
-// to the configured size, sharing the Client surface with the live
-// runtime. The simulator executes operations synchronously, so contexts
-// are honoured at operation entry.
-func NewClient(opts ...Option) (Client, error) {
-	o := buildOptions(opts)
-	ov, err := Build(Config{
-		Size:              o.size,
-		Seed:              o.seed,
-		Keys:              o.keys,
-		Degrees:           o.degrees,
-		Algorithm:         o.algorithm,
-		DisablePowerOfTwo: o.disablePowerOfTwo,
-		OraclePartitions:  o.oraclePartitions,
-		SampleSize:        o.sampleSize,
-		WalkSteps:         o.walkSteps,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cl := ov.clientWith(o.replicas, o.writeConcern)
-	// The simulator routes synchronously, so WithAlpha has nothing to
-	// parallelise there; the cache options map directly.
-	cl.setCaches(o.routeCacheSize, o.routeCacheTTL, o.hotKeyCache)
-	return cl, nil
 }

@@ -28,10 +28,10 @@ type Cluster struct {
 
 // StartCluster boots size live nodes on a shared in-memory fabric: the
 // first node creates the overlay, the rest join through it, then the
-// cluster stabilises and wires long-range links. Options follow NewClient
-// (WithSeed, WithKeys, WithDegrees, WithStabilizeRounds, WithReplicas,
-// WithAutoMaintenance, WithAntiEntropy); the context bounds the whole boot
-// sequence.
+// cluster stabilises and wires long-range links. Options (WithSeed,
+// WithKeys, WithDegrees, WithStabilizeRounds, WithReplicas,
+// WithAutoMaintenance, WithAntiEntropy, ...) configure every node; the
+// context bounds the whole boot sequence.
 func StartCluster(ctx context.Context, size int, opts ...Option) (*Cluster, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("oscar: cluster size %d", size)
@@ -56,22 +56,19 @@ func StartCluster(ctx context.Context, size int, opts ...Option) (*Cluster, erro
 	for i := 0; i < size; i++ {
 		caps := degrees.Sample(capRand)
 		cfg := NodeConfig{
-			Key:               keys.Sample(keyRand),
-			MaxIn:             caps,
-			MaxOut:            caps,
-			Samples:           o.sampleSize,
-			WalkSteps:         o.walkSteps,
-			DisablePowerOfTwo: o.disablePowerOfTwo,
-			Replicas:          o.replicas,
-			WriteConcern:      o.writeConcern,
-			AutoMaintenance:   o.autoMaintenance,
-			AntiEntropy:       o.antiEntropy,
-			Alpha:             o.alpha,
-			RouteCacheSize:    o.routeCacheSize,
-			RouteCacheTTL:     o.routeCacheTTL,
-			HotKeyCache:       o.hotKeyCache,
-			Seed:              o.seed + int64(i),
-			WrapTransport:     o.transportWrapper,
+			Key:             keys.Sample(keyRand),
+			MaxIn:           caps,
+			MaxOut:          caps,
+			Replicas:        o.replicas,
+			WriteConcern:    o.writeConcern,
+			AutoMaintenance: o.autoMaintenance,
+			AntiEntropy:     o.antiEntropy,
+			Alpha:           o.alpha,
+			RouteCacheSize:  o.routeCacheSize,
+			RouteCacheTTL:   o.routeCacheTTL,
+			HotKeyCache:     o.hotKeyCache,
+			Seed:            o.seed + int64(i),
+			WrapTransport:   o.transportWrapper,
 		}
 		if o.dataDir != "" {
 			cfg.DataDir = filepath.Join(o.dataDir, fmt.Sprintf("node-%d", i))

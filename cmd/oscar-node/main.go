@@ -16,7 +16,7 @@
 //	put <frac> <value>    store value under the key at fraction <frac>
 //	get <frac>            fetch the value
 //	delete <frac>         remove the value
-//	range <lo> <hi>       list items with keys in [lo, hi)
+//	range <lo> <hi>       list items with keys in [lo, hi) (an unlimited scan)
 //	scan <lo> <hi> [n]    stream items in [lo, hi) page by page (limit n)
 //	putblob <frac> <file> store a file as a chunked blob based at <frac>
 //	getblob <frac> <out>  stream a blob back into a file, verifying checksums
@@ -494,31 +494,9 @@ func execute(ctx context.Context, node *oscar.Node, args []string) error {
 		fmt.Printf("deleted (%d messages, %d acks)\n", res.Cost, res.Acks)
 		return nil
 
-	case "range":
-		if len(args) != 3 {
-			return fmt.Errorf("usage: range <lo> <hi>")
-		}
-		lo, err := parseFrac(args[1])
-		if err != nil {
-			return err
-		}
-		hi, err := parseFrac(args[2])
-		if err != nil {
-			return err
-		}
-		res, err := node.RangeQuery(ctx, lo, hi, 0)
-		if err != nil {
-			return err
-		}
-		for _, it := range res.Items {
-			fmt.Printf("  %s = %q\n", it.Key, it.Value)
-		}
-		fmt.Printf("%d items from %d peers (%d messages)\n", len(res.Items), res.PeersScanned, res.Cost)
-		return nil
-
-	case "scan":
-		if len(args) != 3 && len(args) != 4 {
-			return fmt.Errorf("usage: scan <lo> <hi> [limit]")
+	case "range", "scan":
+		if len(args) != 3 && (args[0] == "range" || len(args) != 4) {
+			return fmt.Errorf("usage: range <lo> <hi> | scan <lo> <hi> [limit]")
 		}
 		lo, err := parseFrac(args[1])
 		if err != nil {

@@ -196,10 +196,6 @@ func (r *retryClient) Lookup(ctx context.Context, key Key) (LookupResponse, erro
 	return retryOp(ctx, func() (LookupResponse, error) { return r.Client.Lookup(ctx, key) })
 }
 
-func (r *retryClient) RangeQuery(ctx context.Context, start, end Key, limit int) (RangeResponse, error) {
-	return retryOp(ctx, func() (RangeResponse, error) { return r.Client.RangeQuery(ctx, start, end, limit) })
-}
-
 func (r *retryClient) Info(ctx context.Context) (InfoResponse, error) {
 	return retryOp(ctx, func() (InfoResponse, error) { return r.Client.Info(ctx) })
 }

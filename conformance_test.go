@@ -12,12 +12,13 @@ import (
 	"github.com/oscar-overlay/oscar/internal/p2p"
 )
 
-// The conformance suite runs one identical scenario sequence against every
-// Client backend: the simulator, the live runtime on the in-memory channel
-// fabric, and the live runtime on loopback TCP. It is the contract that
-// makes the Client interface mean the same thing everywhere.
+// The conformance suite runs one identical scenario sequence against the
+// Client on every fabric: the in-memory channel fabric, loopback TCP, and
+// loopback TCP with half the ring pinned to the legacy JSON codec. It is
+// the contract that makes the Client interface mean the same thing
+// everywhere.
 
-// conformanceHarness is one backend under test.
+// conformanceHarness is one fabric under test.
 type conformanceHarness struct {
 	name   string
 	client Client
@@ -25,28 +26,9 @@ type conformanceHarness struct {
 	// client, then heals the overlay enough for routing to succeed.
 	crash func()
 	close func()
-	// peersAfterCrash is the alive count Info must report once crash() has
-	// run — the simulator from its global view, a live node from its ring
-	// walk. Both backends fill the same field honestly.
+	// peersAfterCrash is the alive count Info must report, from the
+	// client node's ring walk, once crash() has run.
 	peersAfterCrash int
-}
-
-func simHarness(t *testing.T) *conformanceHarness {
-	t.Helper()
-	ov, err := Build(Config{Size: 64, Seed: 3, Keys: UniformKeys()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &conformanceHarness{
-		name:   "simulator",
-		client: ov.Client(),
-		crash: func() {
-			ov.Crash(0.2)
-			ov.RewireAll()
-		},
-		close:           func() {},
-		peersAfterCrash: 52, // 64 - ⌊0.2·64⌋
-	}
 }
 
 func memClusterHarness(t *testing.T) *conformanceHarness {
@@ -207,7 +189,6 @@ func tcpMixedCodecHarness(t *testing.T) *conformanceHarness {
 
 func TestConformance(t *testing.T) {
 	harnesses := []func(*testing.T) *conformanceHarness{
-		simHarness,
 		memClusterHarness,
 		tcpClusterHarness,
 		tcpMixedCodecHarness,
@@ -221,7 +202,7 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// runConformance is the single scenario table: every backend must pass it
+// runConformance is the single scenario table: every fabric must pass it
 // verbatim.
 func runConformance(t *testing.T, h *conformanceHarness) {
 	ctx := context.Background()
@@ -311,14 +292,11 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	}
 
 	t.Run("range", func(t *testing.T) {
-		res, err := cl.RangeQuery(ctx, KeyFromFloat(0.2), KeyFromFloat(0.5), 0)
-		if err != nil {
-			t.Fatal(err)
+		got := scanItems(t, cl.Scan(ctx, KeyFromFloat(0.2), KeyFromFloat(0.5)))
+		if len(got) != 12 { // fractions 8/40 .. 19/40
+			t.Fatalf("range returned %d items, want 12", len(got))
 		}
-		if len(res.Items) != 12 { // fractions 8/40 .. 19/40
-			t.Fatalf("range returned %d items, want 12", len(res.Items))
-		}
-		for i, it := range res.Items {
+		for i, it := range got {
 			if it.Value[0] != byte(8+i) {
 				t.Fatalf("range item %d = value %d, want %d", i, it.Value[0], 8+i)
 			}
@@ -326,14 +304,11 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	})
 
 	t.Run("range-limit", func(t *testing.T) {
-		res, err := cl.RangeQuery(ctx, KeyFromFloat(0.2), KeyFromFloat(0.5), 5)
-		if err != nil {
-			t.Fatal(err)
+		got := scanItems(t, cl.Scan(ctx, KeyFromFloat(0.2), KeyFromFloat(0.5), WithLimit(5)))
+		if len(got) != 5 {
+			t.Fatalf("limit ignored: %d items", len(got))
 		}
-		if len(res.Items) != 5 {
-			t.Fatalf("limit ignored: %d items", len(res.Items))
-		}
-		for i, it := range res.Items {
+		for i, it := range got {
 			if it.Value[0] != byte(8+i) {
 				t.Fatalf("limited range kept item %d, want the first clockwise", it.Value[0])
 			}
@@ -342,15 +317,12 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 
 	t.Run("range-wraparound", func(t *testing.T) {
 		// [0.9, 0.1) crosses the top of the circle: fractions 36..39, 0..3.
-		res, err := cl.RangeQuery(ctx, KeyFromFloat(0.9), KeyFromFloat(0.1), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := scanItems(t, cl.Scan(ctx, KeyFromFloat(0.9), KeyFromFloat(0.1)))
 		want := []byte{36, 37, 38, 39, 0, 1, 2, 3}
-		if len(res.Items) != len(want) {
-			t.Fatalf("wrap-around range returned %d items, want %d", len(res.Items), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("wrap-around range returned %d items, want %d", len(got), len(want))
 		}
-		for i, it := range res.Items {
+		for i, it := range got {
 			if it.Value[0] != want[i] {
 				t.Fatalf("wrap-around item %d = value %d, want %d (clockwise order)", i, it.Value[0], want[i])
 			}
@@ -358,24 +330,21 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	})
 
 	t.Run("range-wraparound-limit", func(t *testing.T) {
-		res, err := cl.RangeQuery(ctx, KeyFromFloat(0.9), KeyFromFloat(0.1), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := scanItems(t, cl.Scan(ctx, KeyFromFloat(0.9), KeyFromFloat(0.1), WithLimit(3)))
 		want := []byte{36, 37, 38}
-		if len(res.Items) != len(want) {
-			t.Fatalf("wrap-around limit returned %d items, want %d", len(res.Items), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("wrap-around limit returned %d items, want %d", len(got), len(want))
 		}
-		for i, it := range res.Items {
+		for i, it := range got {
 			if it.Value[0] != want[i] {
 				t.Fatalf("wrap-around limited item %d = value %d, want %d", i, it.Value[0], want[i])
 			}
 		}
 	})
 
-	// Scan must agree with RangeQuery byte for byte on every backend —
-	// including when forced to page, to wrap around the circle, and to
-	// stop at a limit.
+	// A paged or limited Scan must agree byte for byte with the unpaged,
+	// unlimited Scan of the same range cut to the limit — including when
+	// forced to page, to wrap around the circle, and to stop at a limit.
 	t.Run("scan-matches-range", func(t *testing.T) {
 		cases := []struct {
 			name     string
@@ -394,34 +363,28 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
 				lo, hi := KeyFromFloat(tc.lo), KeyFromFloat(tc.hi)
-				want, err := cl.RangeQuery(ctx, lo, hi, tc.limit)
-				if err != nil {
-					t.Fatal(err)
+				want := scanItems(t, cl.Scan(ctx, lo, hi))
+				if tc.limit > 0 && len(want) > tc.limit {
+					want = want[:tc.limit]
 				}
 				opts := []ScanOption{WithLimit(tc.limit)}
 				if tc.pageSize > 0 {
 					opts = append(opts, WithPageSize(tc.pageSize))
 				}
-				var got []Item
 				sc := cl.Scan(ctx, lo, hi, opts...)
-				for sc.Next() {
-					got = append(got, sc.Item())
-				}
-				if err := sc.Err(); err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want.Items) {
-					t.Fatalf("scan = %d items, range query = %d", len(got), len(want.Items))
+				got := scanItems(t, sc)
+				if len(got) != len(want) {
+					t.Fatalf("scan = %d items, unpaged scan = %d", len(got), len(want))
 				}
 				for i := range got {
-					if got[i].Key != want.Items[i].Key || !bytes.Equal(got[i].Value, want.Items[i].Value) {
-						t.Fatalf("scan item %d = (%v, %q), range query has (%v, %q)",
-							i, got[i].Key, got[i].Value, want.Items[i].Key, want.Items[i].Value)
+					if got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+						t.Fatalf("scan item %d = (%v, %q), unpaged scan has (%v, %q)",
+							i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
 					}
 				}
-				if tc.pageSize > 0 && len(want.Items) > tc.pageSize && sc.Stats().Pages < 2 {
+				if tc.pageSize > 0 && len(want) > tc.pageSize && sc.Stats().Pages < 2 {
 					t.Fatalf("page size %d over %d items fetched only %d page(s)",
-						tc.pageSize, len(want.Items), sc.Stats().Pages)
+						tc.pageSize, len(want), sc.Stats().Pages)
 				}
 			})
 		}
@@ -456,8 +419,7 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 
 	t.Run("scan-bad-range", func(t *testing.T) {
 		// start == end denotes the full circle in range semantics; the
-		// streaming API refuses the footgun with a typed error on both
-		// surfaces.
+		// streaming API refuses the footgun with a typed error.
 		k := KeyFromFloat(0.4)
 		sc := cl.Scan(ctx, k, k)
 		if sc.Next() {
@@ -465,9 +427,6 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 		}
 		if !errors.Is(sc.Err(), ErrBadRange) {
 			t.Fatalf("degenerate scan err = %v, want ErrBadRange", sc.Err())
-		}
-		if _, err := cl.RangeQuery(ctx, k, k, 0); !errors.Is(err, ErrBadRange) {
-			t.Fatalf("degenerate range query = %v, want ErrBadRange", err)
 		}
 	})
 
@@ -547,9 +506,6 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 		if _, err := cl.Delete(cctx, key); !errors.Is(err, context.Canceled) {
 			t.Errorf("cancelled delete = %v, want context.Canceled", err)
 		}
-		if _, err := cl.RangeQuery(cctx, key, KeyFromFloat(0.6), 0); !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled range = %v, want context.Canceled", err)
-		}
 		if sc := cl.Scan(cctx, key, KeyFromFloat(0.6)); sc.Next() || !errors.Is(sc.Err(), context.Canceled) {
 			t.Errorf("cancelled scan err = %v, want context.Canceled", sc.Err())
 		}
@@ -590,15 +546,11 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Backend == "" {
-			t.Error("backend not reported")
-		}
-		// Both backends fill Peers honestly: global knowledge on the
-		// simulator, a successor-pointer ring walk on a live node. After
-		// the crash scenario healed, both see the same survivor count. The
-		// walk crosses every ring link, so on a faulted fabric any one
-		// probe can transiently fail — poll briefly, then hold the count
-		// to the exact survivor number.
+		// Peers comes from a successor-pointer ring walk: after the crash
+		// scenario healed, it must see the exact survivor count. The walk
+		// crosses every ring link, so on a faulted fabric any one probe
+		// can transiently fail — poll briefly, then hold the count to the
+		// exact survivor number.
 		deadline := time.Now().Add(10 * time.Second)
 		for info.Peers != h.peersAfterCrash && time.Now().Before(deadline) {
 			time.Sleep(20 * time.Millisecond)
@@ -630,15 +582,14 @@ func runConformance(t *testing.T, h *conformanceHarness) {
 	})
 }
 
-// durabilityHarness is one backend under the crash-durability contract:
+// durabilityHarness is one fabric under the crash-durability contract:
 // a client writing with r=3, a way to kill the peer that owns a key, and
 // a way to know when the overlay has healed enough to assert on.
 type durabilityHarness struct {
 	name   string
 	client Client
 	// kill removes the peer identified by an operation's OwnerRef. The
-	// overlay heals on its own afterwards (instantly on the simulator,
-	// via auto-maintenance on the live fabrics).
+	// overlay heals on its own afterwards, via auto-maintenance.
 	kill  func(t *testing.T, owner OwnerRef)
 	close func()
 }
@@ -661,22 +612,6 @@ func waitRingSize(t *testing.T, cl Client, want int) {
 			t.Fatalf("ring never reached %d peers (last: %d, err %v)", want, info.Peers, err)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func durabilitySimHarness(t *testing.T) *durabilityHarness {
-	t.Helper()
-	ov, err := Build(Config{Size: 64, Seed: 11, Keys: UniformKeys()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &durabilityHarness{
-		name:   "simulator",
-		client: ov.ReplicatedClient(durabilityReplicas),
-		kill: func(t *testing.T, owner OwnerRef) {
-			ov.CrashNode(owner.ID)
-		},
-		close: func() {},
 	}
 }
 
@@ -753,14 +688,12 @@ func durabilityTCPHarness(t *testing.T) *durabilityHarness {
 	}
 }
 
-// TestCrashDurability is the cross-backend durability contract: writing
-// with r=3, then killing the node that owns some of the keys and letting
-// maintenance heal the ring, loses zero previously-written keys. The live
-// fabrics heal through their jittered auto-maintenance loops — no manual
-// StabilizeAll.
+// TestCrashDurability is the durability contract: writing with r=3, then
+// killing the node that owns some of the keys and letting maintenance heal
+// the ring, loses zero previously-written keys. Both fabrics heal through
+// their jittered auto-maintenance loops — no manual StabilizeAll.
 func TestCrashDurability(t *testing.T) {
 	harnesses := []func(*testing.T) *durabilityHarness{
-		durabilitySimHarness,
 		durabilityMemHarness,
 		durabilityTCPHarness,
 	}
@@ -804,7 +737,7 @@ func runCrashDurability(t *testing.T, h *durabilityHarness) {
 	}
 	victim := -1
 	for i, o := range owners {
-		if o.Addr != self.Self.Addr || (o.Addr == "" && o.ID != 0) {
+		if o.Addr != self.Self.Addr {
 			victim = i
 			break
 		}
@@ -841,7 +774,7 @@ func runCrashDurability(t *testing.T, h *durabilityHarness) {
 	}
 }
 
-// writeConcernHarness is one backend under the write-concern contract: a
+// writeConcernHarness is one fabric under the write-concern contract: a
 // client configured with r=3 and a default write concern of 2, a key
 // whose owner's chain has exactly one member unable to acknowledge by the
 // time the runner writes, and no background maintenance to repair the
@@ -857,30 +790,6 @@ const (
 	writeConcernReplicas = 3
 	writeConcernDefault  = 2
 )
-
-func writeConcernSimHarness(t *testing.T) *writeConcernHarness {
-	t.Helper()
-	// The simulator's ring heals instantly around a crash, so the only way
-	// a chain can come up short of acks is a ring with fewer members than
-	// the chain wants: three peers, one killed, leaves owner + one.
-	ov, err := Build(Config{Size: 3, Seed: 9, Keys: UniformKeys()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := ov.clientWith(writeConcernReplicas, writeConcernDefault)
-	key := KeyFromFloat(0.4)
-	put, err := cl.Put(context.Background(), key, []byte("probe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ov.Nodes() {
-		if id != put.Owner.ID {
-			ov.CrashNode(id)
-			break
-		}
-	}
-	return &writeConcernHarness{name: "simulator", client: cl, key: key, close: func() {}}
-}
 
 // liveWriteConcernHarness finds a key whose owner and first replica are
 // both distinct from the client's node, then kills that first replica
@@ -969,7 +878,7 @@ func writeConcernTCPHarness(t *testing.T) *writeConcernHarness {
 	})
 }
 
-// TestWriteConcern is the cross-backend write-concern contract: with r=3
+// TestWriteConcern is the write-concern contract: with r=3
 // and one chain member gone, a write collects exactly two acks — the
 // configured default w=2 succeeds, a per-call w=3 fails with
 // ErrWriteConcern carrying the honest 2/3 counts, and an unsatisfied
@@ -977,7 +886,6 @@ func writeConcernTCPHarness(t *testing.T) *writeConcernHarness {
 // succeeding or silently disappearing.
 func TestWriteConcern(t *testing.T) {
 	harnesses := []func(*testing.T) *writeConcernHarness{
-		writeConcernSimHarness,
 		writeConcernMemHarness,
 		writeConcernTCPHarness,
 	}
@@ -1044,7 +952,7 @@ func runWriteConcern(t *testing.T, h *writeConcernHarness) {
 	}
 }
 
-// readRepairHarness is one backend under the read-repair contract: keys
+// readRepairHarness is one fabric under the read-repair contract: keys
 // sharing one owner written with r=3, a hook that silently erases some of
 // them from the owner's primary shard, and visibility into the healing
 // side's repair stats and shard.
@@ -1063,48 +971,6 @@ type readRepairHarness struct {
 }
 
 const readRepairReplicas = 3
-
-func readRepairSimHarness(t *testing.T) *readRepairHarness {
-	t.Helper()
-	ov, err := Build(Config{Size: 64, Seed: 29, Keys: UniformKeys()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := ov.ReplicatedClient(readRepairReplicas)
-	put, err := cl.Put(context.Background(), KeyFromFloat(0.61), []byte("probe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ownerID := put.Owner.ID
-	keys := make([]Key, 6)
-	for i := range keys {
-		keys[i] = put.Owner.Key - Key(i)
-	}
-	return &readRepairHarness{
-		name:   "simulator",
-		client: cl,
-		keys:   keys,
-		dropPrimary: func(ks []Key) {
-			ov.mu.Lock()
-			defer ov.mu.Unlock()
-			for _, k := range ks {
-				ov.storeFor(ownerID).Drop(k)
-			}
-		},
-		stats: func() SyncStats {
-			ov.mu.Lock()
-			defer ov.mu.Unlock()
-			return ov.syncStats
-		},
-		ownerHas: func(k Key) bool {
-			ov.mu.Lock()
-			defer ov.mu.Unlock()
-			_, ok := ov.storeFor(ownerID).Get(k)
-			return ok
-		},
-		close: func() {},
-	}
-}
 
 // liveReadRepairHarness picks an owner whose arc comfortably holds a run
 // of keys below its identifier, writes nothing itself (the runner does),
@@ -1201,14 +1067,13 @@ func readRepairTCPHarness(t *testing.T) *readRepairHarness {
 	})
 }
 
-// TestReadRepair is the cross-backend read-repair contract: an owner that
+// TestReadRepair is the read-repair contract: an owner that
 // silently lost part of its arc still serves those reads through the
 // chain fallback, and the first such read heals the owner — with repair
 // stats equal to the exact divergence, visible through the same counters
 // as scheduled anti-entropy.
 func TestReadRepair(t *testing.T) {
 	harnesses := []func(*testing.T) *readRepairHarness{
-		readRepairSimHarness,
 		readRepairMemHarness,
 		readRepairTCPHarness,
 	}
@@ -1260,7 +1125,7 @@ func runReadRepair(t *testing.T, h *readRepairHarness) {
 
 	// ...and heals the owner: both lost keys return to its shard, and the
 	// repair moved exactly the divergence (2 keys, no tombstones, no
-	// drops). The live backends repair asynchronously, so poll.
+	// drops). The repair runs asynchronously, so poll.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		st := h.stats()
@@ -1300,11 +1165,10 @@ func runReadRepair(t *testing.T, h *readRepairHarness) {
 // TestScanChurn is the mid-scan churn contract: a paged scan whose serving
 // arc owner is killed between pages resumes through the owner's replica
 // chain — the cursor loses nothing and duplicates nothing. It reuses the
-// crash-durability harnesses (r=3, auto-maintenance on the live fabrics)
-// and forces tiny pages so the kill lands between fetches.
+// crash-durability harnesses (r=3, auto-maintenance) and forces tiny
+// pages so the kill lands between fetches.
 func TestScanChurn(t *testing.T) {
 	harnesses := []func(*testing.T) *durabilityHarness{
-		durabilitySimHarness,
 		durabilityMemHarness,
 		durabilityTCPHarness,
 	}
@@ -1371,7 +1235,7 @@ func runScanChurn(t *testing.T, h *durabilityHarness) {
 			}
 			// Never kill the node serving the client; try again one item
 			// later — some other peer owns the rest of the range.
-			if self.Backend == "simulator" || route.Owner.Addr != self.Self.Addr {
+			if route.Owner.Addr != self.Self.Addr {
 				h.kill(t, route.Owner)
 				killed = true
 			}
@@ -1392,4 +1256,17 @@ func runScanChurn(t *testing.T, h *durabilityHarness) {
 		}
 		t.Fatalf("scan under churn returned %d/%d items (%d missing)", count, items, missing)
 	}
+}
+
+// scanItems drains sc, failing the test on a scan error.
+func scanItems(t *testing.T, sc *Scanner) []Item {
+	t.Helper()
+	var items []Item
+	for sc.Next() {
+		items = append(items, sc.Item())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return items
 }

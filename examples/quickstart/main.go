@@ -1,7 +1,7 @@
-// Quickstart: the context-first Client API against the simulator backend —
-// build an overlay, look keys up, store, fetch, delete and range-query
-// data. The same Client interface runs against the live runtime (see
-// examples/tcpcluster).
+// Quickstart: the context-first Client API against a live cluster on the
+// in-memory fabric — look keys up, store, fetch, delete and scan data —
+// followed by the paper's measurement pass on a simulator-scale overlay.
+// The same Client API runs over TCP (see examples/tcpcluster).
 //
 //	go run ./examples/quickstart
 package main
@@ -18,24 +18,22 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// A 2000-peer overlay on a heavy-tailed key distribution with every
-	// peer allowing 27 links — the paper's baseline setting, built from
-	// scratch in-process. (oscar.NewClient(oscar.WithSize(2000)) builds the
-	// same thing in one call; going through Build keeps the Overlay handle
-	// for the measurement pass below.) The client is safe for concurrent
-	// use.
-	ov, err := oscar.Build(oscar.Config{Size: 2000, Seed: 1})
+	// 32 live peers on a heavy-tailed key distribution, each running the
+	// real protocol (joins, stabilisation, walk-based link acquisition)
+	// over in-memory channels instead of sockets. Every node is a Client
+	// and safe for concurrent use; any of them can serve any key.
+	c, err := oscar.StartCluster(ctx, 32, oscar.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl := ov.Client()
-	defer cl.Close()
+	defer c.Close()
+	cl := c.Node(0)
 
 	info, err := cl.Info(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("overlay up: %d peers\n", info.Peers)
+	fmt.Printf("cluster up: %d peers\n", info.Peers)
 
 	// Route to the owner of a key. Routing is greedy over each peer's ring
 	// pointers and long-range links; cost is the number of messages.
@@ -60,12 +58,17 @@ func main() {
 	}
 	fmt.Printf("get 0.35: %q (%d messages)\n", got.Value, got.Cost)
 
-	res, err := cl.RangeQuery(ctx, oscar.KeyFromFloat(0.32), oscar.KeyFromFloat(0.36), 0)
-	if err != nil {
+	// Scan streams a range page by page from one shard owner at a time.
+	sc := c.Node(7).Scan(ctx, oscar.KeyFromFloat(0.32), oscar.KeyFromFloat(0.36))
+	n := 0
+	for sc.Next() {
+		n++
+	}
+	if err := sc.Err(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("range [0.32,0.36): %d items from %d peers, %d messages\n",
-		len(res.Items), res.PeersScanned, res.Cost)
+	st := sc.Stats()
+	fmt.Printf("scan [0.32,0.36): %d items from %d peers, %d messages\n", n, st.PeersScanned, st.Cost)
 
 	// Deletes are first-class; a missing key is the typed ErrNotFound.
 	if _, err := cl.Delete(ctx, oscar.KeyFromFloat(0.35)); err != nil {
@@ -75,10 +78,14 @@ func main() {
 		fmt.Println("get 0.35 after delete: not found (as it should be)")
 	}
 
-	// The lower-level Overlay API stays available for experiments: the
-	// measurement pass the paper's figures are made of, on the same overlay
-	// the client has been writing to.
+	// The paper's experiments run on the simulator: a 2000-peer overlay
+	// with every peer allowing 27 links — the paper's baseline setting —
+	// and the measurement pass its figures are made of.
+	ov, err := oscar.Build(oscar.Config{Size: 2000, Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	m := ov.Measure()
-	fmt.Printf("avg search cost %.2f over %d queries; degree volume %.0f%%\n",
+	fmt.Printf("simulator: avg search cost %.2f over %d queries; degree volume %.0f%%\n",
 		m.AvgSearchCost, m.Queries, 100*m.DegreeVolume)
 }

@@ -1224,58 +1224,6 @@ func (n *Node) DeleteW(ctx context.Context, key keyspace.Key, w int) (OpResult, 
 	return res, nil
 }
 
-// RangeResult reports one range query: the matching items in clockwise key
-// order, the total message cost, and how many peers' shards were scanned.
-type RangeResult struct {
-	Items        []storage.Item
-	Cost         int
-	PeersScanned int
-}
-
-// RangeQuery collects up to limit items with keys in [start, end), walking
-// shards clockwise from the owner of start. limit <= 0 means unlimited.
-// Cancelling the context aborts the scan between pages. It is a buffering
-// wrapper over a ScanSession: large results should use the session (or the
-// public Scan API) directly and stream page by page.
-func (n *Node) RangeQuery(ctx context.Context, start, end keyspace.Key, limit int) (RangeResult, error) {
-	var res RangeResult
-	rg := keyspace.Range{Start: start, End: end}
-	s := n.NewScanSession(start, end)
-	cursor := start
-	for {
-		want := 0
-		if limit > 0 {
-			want = limit - len(res.Items)
-			if want <= 0 {
-				return res, nil
-			}
-		}
-		chunk, err := s.NextPage(ctx, cursor, want)
-		res.Cost += chunk.Cost
-		res.PeersScanned += chunk.Peers
-		if err != nil {
-			return res, err
-		}
-		res.Items = append(res.Items, chunk.Items...)
-		if limit > 0 && len(res.Items) >= limit {
-			res.Items = res.Items[:limit]
-			return res, nil
-		}
-		if chunk.Done {
-			return res, nil
-		}
-		if len(chunk.Items) == 0 {
-			// NextPage only returns an empty non-done chunk after advancing
-			// shards internally; the cursor is unchanged.
-			continue
-		}
-		cursor = chunk.Items[len(chunk.Items)-1].Key + 1
-		if !rg.Contains(cursor) {
-			return res, nil
-		}
-	}
-}
-
 // Rewire rebuilds the node's long-range links: release current ones,
 // estimate partitions by remote restricted walks, then acquire up to MaxOut
 // links with the admission + power-of-two rules. It returns the number of

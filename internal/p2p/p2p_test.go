@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/oscar-overlay/oscar/internal/keyspace"
+	"github.com/oscar-overlay/oscar/internal/storage"
 	"github.com/oscar-overlay/oscar/internal/transport"
 )
 
@@ -186,14 +187,60 @@ func TestDeleteAcrossCluster(t *testing.T) {
 	}
 }
 
-func TestRangeQueryAcrossShards(t *testing.T) {
+// scanResult is a whole range drained from one ScanSession.
+type scanResult struct {
+	Items        []storage.Item
+	Cost         int
+	PeersScanned int
+}
+
+// scanAll drains a ScanSession over [start, end), keeping at most limit
+// items (<= 0: unlimited). It advances the cursor past each page's last
+// key, the way the public Scanner drives a session.
+func scanAll(ctx context.Context, n *Node, start, end keyspace.Key, limit int) (scanResult, error) {
+	var res scanResult
+	rg := keyspace.Range{Start: start, End: end}
+	s := n.NewScanSession(start, end)
+	cursor := start
+	for {
+		want := 0
+		if limit > 0 {
+			want = limit - len(res.Items)
+		}
+		chunk, err := s.NextPage(ctx, cursor, want)
+		res.Cost += chunk.Cost
+		res.PeersScanned += chunk.Peers
+		if err != nil {
+			return res, err
+		}
+		res.Items = append(res.Items, chunk.Items...)
+		if limit > 0 && len(res.Items) >= limit {
+			res.Items = res.Items[:limit]
+			return res, nil
+		}
+		if chunk.Done {
+			return res, nil
+		}
+		if len(chunk.Items) == 0 {
+			// An empty page that is not the last one means the session
+			// moved to the next shard; the cursor is unchanged.
+			continue
+		}
+		cursor = chunk.Items[len(chunk.Items)-1].Key + 1
+		if !rg.Contains(cursor) {
+			return res, nil
+		}
+	}
+}
+
+func TestScanSessionAcrossShards(t *testing.T) {
 	c := newTestCluster(t, 16)
 	for i := 0; i < 40; i++ {
 		if _, err := c.Nodes[0].Put(bg, keyspace.FromFloat(float64(i)/40), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.Nodes[5].RangeQuery(bg, keyspace.FromFloat(0.25), keyspace.FromFloat(0.75), 0)
+	res, err := scanAll(bg, c.Nodes[5], keyspace.FromFloat(0.25), keyspace.FromFloat(0.75), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +257,9 @@ func TestRangeQueryAcrossShards(t *testing.T) {
 	}
 }
 
-// TestRangeQueryWrapAround exercises a range crossing the top of the
+// TestScanSessionWrapAround exercises a range crossing the top of the
 // identifier circle (start > end), including the limit early-stop path.
-func TestRangeQueryWrapAround(t *testing.T) {
+func TestScanSessionWrapAround(t *testing.T) {
 	c := newTestCluster(t, 12)
 	fracs := []float64{0.85, 0.92, 0.97, 0.03, 0.08, 0.5}
 	for _, f := range fracs {
@@ -220,7 +267,7 @@ func TestRangeQueryWrapAround(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.Nodes[3].RangeQuery(bg, keyspace.FromFloat(0.8), keyspace.FromFloat(0.1), 0)
+	res, err := scanAll(bg, c.Nodes[3], keyspace.FromFloat(0.8), keyspace.FromFloat(0.1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +286,7 @@ func TestRangeQueryWrapAround(t *testing.T) {
 	}
 
 	// Limit stops the scan early, keeping the first items clockwise.
-	lim, err := c.Nodes[7].RangeQuery(bg, keyspace.FromFloat(0.8), keyspace.FromFloat(0.1), 2)
+	lim, err := scanAll(bg, c.Nodes[7], keyspace.FromFloat(0.8), keyspace.FromFloat(0.1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,13 +602,14 @@ func TestLookupCancelledMidWalk(t *testing.T) {
 	}
 }
 
-func TestRangeQueryCancelled(t *testing.T) {
+func TestScanSessionCancelled(t *testing.T) {
 	c := newTestCluster(t, 16)
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	_, err := c.Nodes[0].RangeQuery(ctx, keyspace.FromFloat(0.1), keyspace.FromFloat(0.9), 0)
+	s := c.Nodes[0].NewScanSession(keyspace.FromFloat(0.1), keyspace.FromFloat(0.9))
+	_, err := s.NextPage(ctx, keyspace.FromFloat(0.1), 0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled range query returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled scan page returned %v, want context.Canceled", err)
 	}
 }
 

@@ -18,8 +18,8 @@
 //   - Digests. A store can maintain an antientropy.Tree summary of its
 //     contents (items and tombstones alike), updated in O(1) on every
 //     mutation, so an arc owner can open a sync round without rehashing its
-//     shard. Stores that don't need it (replica stores, the simulator's
-//     shards) compute digests on demand with Digest instead.
+//     shard. Stores that don't need it (replica stores) compute digests
+//     on demand with Digest instead.
 package storage
 
 import (

@@ -1,6 +1,7 @@
 package oscar
 
 import (
+	"bytes"
 	"context"
 	"crypto/tls"
 	"errors"
@@ -135,11 +136,10 @@ type NodeConfig struct {
 	WrapTransport func(transport.Transport) transport.Transport
 }
 
-// Node is a live overlay peer: the message-passing implementation of
-// Client, one peer per process (or many in one process — see
-// StartCluster). A fresh node is a one-peer overlay; Join splices it into
-// an existing one through any member. All methods are safe for concurrent
-// use.
+// Node is a live overlay peer and the implementation of Client: one peer
+// per process (or many in one process — see StartCluster). A fresh node
+// is a one-peer overlay; Join splices it into an existing one through any
+// member. All methods are safe for concurrent use.
 type Node struct {
 	inner *p2p.Node
 	tr    transport.Transport
@@ -457,12 +457,15 @@ func ownerRef(ref transport.PeerRef) OwnerRef {
 	return OwnerRef{Key: ref.Key, Addr: string(ref.Addr)}
 }
 
-// Put implements Client.
+// Put implements Client. The value is copied once here, at the public
+// boundary: the in-memory fabric hands slices between nodes without
+// encoding them, so the stored item (and every replica copy) would
+// otherwise share the caller's buffer.
 func (n *Node) Put(ctx context.Context, key Key, value []byte) (PutResponse, error) {
 	if err := n.begin(ctx); err != nil {
 		return PutResponse{}, err
 	}
-	res, err := n.inner.PutW(ctx, key, value, writeConcernFrom(ctx))
+	res, err := n.inner.PutW(ctx, key, bytes.Clone(value), writeConcernFrom(ctx))
 	out := PutResponse{Owner: ownerRef(res.Owner), Cost: res.Cost, Replaced: res.Replaced, Acks: res.Acks}
 	if err != nil {
 		return out, n.mapErr(err)
@@ -470,13 +473,14 @@ func (n *Node) Put(ctx context.Context, key Key, value []byte) (PutResponse, err
 	return out, nil
 }
 
-// Get implements Client.
+// Get implements Client. The returned value is the caller's own copy, not
+// a view of the owner's store or the hot-key cache.
 func (n *Node) Get(ctx context.Context, key Key) (GetResponse, error) {
 	if err := n.begin(ctx); err != nil {
 		return GetResponse{}, err
 	}
 	res, err := n.inner.Get(ctx, key)
-	out := GetResponse{Owner: ownerRef(res.Owner), Cost: res.Cost, Value: res.Value}
+	out := GetResponse{Owner: ownerRef(res.Owner), Cost: res.Cost, Value: bytes.Clone(res.Value)}
 	if err != nil {
 		return out, n.mapErr(err)
 	}
@@ -505,7 +509,8 @@ func (n *Node) Delete(ctx context.Context, key Key) (DeleteResponse, error) {
 // Scan implements Client: a paged streaming read over [start, end). Each
 // page is one cursor-carrying scan RPC against the shard owner (or, when
 // the owner dies mid-scan, a member of its replica chain — the cursor
-// resumes through the chain's replica copies without loss).
+// resumes through the chain's replica copies without loss). Each page's
+// values are copied once, like Get's.
 func (n *Node) Scan(ctx context.Context, start, end Key, opts ...ScanOption) *Scanner {
 	if ctx == nil {
 		ctx = context.Background()
@@ -519,7 +524,7 @@ func (n *Node) Scan(ctx context.Context, start, end Key, opts ...ScanOption) *Sc
 			return scanChunk{}, ErrClosed
 		}
 		chunk, err := sess.NextPage(ctx, cursor, want)
-		out := scanChunk{items: chunk.Items, done: chunk.Done, cost: chunk.Cost, peers: chunk.Peers}
+		out := scanChunk{items: ownItems(chunk.Items), done: chunk.Done, cost: chunk.Cost, peers: chunk.Peers}
 		if err != nil {
 			return out, n.mapErr(err)
 		}
@@ -527,15 +532,25 @@ func (n *Node) Scan(ctx context.Context, start, end Key, opts ...ScanOption) *Sc
 	})
 }
 
-// RangeQuery implements Client.
-//
-// Deprecated: use Scan — RangeQuery buffers the whole result in memory
-// and is now a thin wrapper over the same paged scan.
-func (n *Node) RangeQuery(ctx context.Context, start, end Key, limit int) (RangeResponse, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// ownItems copies a scan page so the caller owns its values: one buffer
+// holds every value of the page, so the copy is one allocation however
+// many items the page has.
+func ownItems(items []Item) []Item {
+	if len(items) == 0 {
+		return items
 	}
-	return drainScanner(n.Scan(ctx, start, end, WithLimit(limit)))
+	size := 0
+	for _, it := range items {
+		size += len(it.Value)
+	}
+	buf := make([]byte, 0, size)
+	out := make([]Item, len(items))
+	for i, it := range items {
+		at := len(buf)
+		buf = append(buf, it.Value...)
+		out[i] = Item{Key: it.Key, Value: buf[at:len(buf):len(buf)]}
+	}
+	return out
 }
 
 // PutBlob implements Client.
@@ -593,7 +608,6 @@ func (n *Node) Info(ctx context.Context) (InfoResponse, error) {
 	sync := n.inner.SyncTotals()
 	caches := n.inner.CacheStats()
 	resp := InfoResponse{
-		Backend:      "p2p",
 		Peers:        peers,
 		SizeEstimate: est,
 		Replicas:     n.inner.Replicas(),

@@ -13,30 +13,27 @@
 //
 // # Quick start
 //
-// The context-first Client interface is the public surface; it runs against
-// two backends. The simulator backend models thousands of peers in one
-// process:
-//
-//	cl, err := oscar.NewClient(oscar.WithSize(2000), oscar.WithSeed(1))
-//	if err != nil { ... }
-//	defer cl.Close()
-//	res, err := cl.Lookup(ctx, oscar.KeyFromFloat(0.42))
-//	fmt.Println(res.Cost)
-//
-// The live backend runs the same algorithms as message-passing peers, over
+// The context-first Client interface is the public surface of the
+// key-value runtime. *Node implements it: live message-passing peers over
 // in-memory channels (StartCluster) or TCP (StartNode):
+//
+//	c, err := oscar.StartCluster(ctx, 16, oscar.WithSeed(1))
+//	if err != nil { ... }
+//	defer c.Close()
+//	res, err := c.Node(0).Lookup(ctx, oscar.KeyFromFloat(0.42))
+//	fmt.Println(res.Cost)
 //
 //	node, err := oscar.StartNode(oscar.NodeConfig{Listen: "127.0.0.1:0", Key: oscar.KeyFromFloat(0.5)})
 //	if err != nil { ... }
 //	defer node.Close()
 //	err = node.Join(ctx, "127.0.0.1:7001")
 //
-// Both satisfy Client, so application code is backend-agnostic. The lower
-// level Build/Overlay API remains for experiments: the package also bundles
-// a Mercury baseline and a global-knowledge Kleinberg reference for
-// comparison, a churn model, and a per-peer ordered key-value layer with
-// range queries; cmd/oscar-bench regenerates every figure and table of the
-// paper.
+// The paper's experiments run on the simulator instead: Build grows an
+// in-process Overlay of thousands of peers for lookups, churn and the
+// measurement pass, with an unreplicated ordered index (Put/Get/Delete/
+// RangeQuery) on top. The package also bundles a Mercury baseline and a
+// global-knowledge Kleinberg reference for comparison and a churn model;
+// cmd/oscar-bench regenerates every figure and table of the paper.
 package oscar
 
 import (
@@ -153,20 +150,13 @@ type Config struct {
 // distributed system inside one process (StartNode/StartCluster run the
 // message-passing runtime). All methods are safe for concurrent use: a
 // single mutex serialises operations, so concurrent callers observe the
-// overlay as a sequentially consistent store. For the context-aware facade
-// shared with the live runtime, see Client.
+// overlay as a sequentially consistent store. The replicated, durable
+// key-value runtime with the context-first Client API is Node.
 type Overlay struct {
 	mu     sync.Mutex
 	sim    *sim.Sim
 	stores map[NodeID]*storage.Store
-	// replStores holds replica copies pushed by PutReplicated (and the
-	// replicated Client): kept apart from the primary shards so range
-	// queries and migrations never see an item twice.
-	replStores map[NodeID]*storage.Store
-	// syncStats accumulates AntiEntropy repair work over the overlay's
-	// lifetime (reported by the Client facade's Info).
-	syncStats SyncStats
-	rnd       *rand.Rand
+	rnd    *rand.Rand
 }
 
 // Build grows an overlay from scratch to cfg.Size peers, performs one full
@@ -210,10 +200,9 @@ func Build(cfg Config) (*Overlay, error) {
 		return nil, err
 	}
 	ov := &Overlay{
-		sim:        s,
-		stores:     make(map[NodeID]*storage.Store),
-		replStores: make(map[NodeID]*storage.Store),
-		rnd:        rng.Derive(cfg.Seed, "overlay-facade"),
+		sim:    s,
+		stores: make(map[NodeID]*storage.Store),
+		rnd:    rng.Derive(cfg.Seed, "overlay-facade"),
 	}
 	ov.Grow(sc.TargetSize)
 	s.RewireAll()
@@ -242,7 +231,6 @@ type NodeInfo struct {
 	InDeg, OutDeg int
 	Alive         bool
 	StoredItems   int
-	ReplicaItems  int
 	Successor     NodeID
 	Predecessor   NodeID
 }
@@ -264,9 +252,6 @@ func (o *Overlay) infoLocked(id NodeID) NodeInfo {
 	}
 	if st := o.stores[id]; st != nil {
 		info.StoredItems = st.Len()
-	}
-	if st := o.replStores[id]; st != nil {
-		info.ReplicaItems = st.Len()
 	}
 	return info
 }
@@ -310,21 +295,8 @@ func (o *Overlay) Crash(fraction float64) int {
 	victims := o.sim.Churn(fraction)
 	for _, id := range victims {
 		delete(o.stores, id)
-		delete(o.replStores, id)
 	}
 	return len(victims)
-}
-
-// CrashNode kills exactly one peer: its shard (and any replica copies it
-// held) are gone, the ring re-stitches around it, and long-range links to
-// it go stale until the next rewiring. With replication, items the victim
-// owned remain readable from its ring successors.
-func (o *Overlay) CrashNode(id NodeID) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.sim.Ring().Kill(id)
-	delete(o.stores, id)
-	delete(o.replStores, id)
 }
 
 // Lookup routes to the owner of key from a random peer.
@@ -372,16 +344,6 @@ func (o *Overlay) storeFor(id NodeID) *storage.Store {
 	return st
 }
 
-// replStoreFor returns (creating if needed) the replica store of peer id.
-func (o *Overlay) replStoreFor(id NodeID) *storage.Store {
-	st := o.replStores[id]
-	if st == nil {
-		st = &storage.Store{}
-		o.replStores[id] = st
-	}
-	return st
-}
-
 // PutResult reports a data-layer write.
 type PutResult struct {
 	// Owner is the peer now holding the item.
@@ -390,9 +352,6 @@ type PutResult struct {
 	Cost int
 	// Replaced reports whether an existing value was overwritten.
 	Replaced bool
-	// Acks is how many stores applied the write: the owner plus every
-	// replica copy placed (always 1 for the unreplicated Put).
-	Acks int
 }
 
 // Put routes from a random peer to the owner of key and stores the value
@@ -405,7 +364,7 @@ func (o *Overlay) Put(key Key, value []byte) (PutResult, error) {
 		return PutResult{}, fmt.Errorf("oscar: put %v: routing failed", key)
 	}
 	replaced := o.storeFor(route.Owner).Put(key, value)
-	return PutResult{Owner: route.Owner, Cost: route.Cost(), Replaced: replaced, Acks: 1}, nil
+	return PutResult{Owner: route.Owner, Cost: route.Cost(), Replaced: replaced}, nil
 }
 
 // Get routes to the owner of key and returns the stored value, if any,
@@ -431,9 +390,6 @@ type DeleteResult struct {
 	Cost int
 	// Existed reports whether an item was actually removed.
 	Existed bool
-	// Acks is how many stores applied the delete (owner plus chain
-	// members visited; always 1 for the unreplicated Delete).
-	Acks int
 }
 
 // Delete routes to the owner of key and removes the stored item, if any.
@@ -444,7 +400,7 @@ func (o *Overlay) Delete(key Key) (DeleteResult, error) {
 	if !route.Found {
 		return DeleteResult{}, fmt.Errorf("oscar: delete %v: routing failed", key)
 	}
-	res := DeleteResult{Owner: route.Owner, Cost: route.Cost(), Acks: 1}
+	res := DeleteResult{Owner: route.Owner, Cost: route.Cost()}
 	if st := o.stores[route.Owner]; st != nil {
 		res.Existed = st.Delete(key)
 	}

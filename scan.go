@@ -40,7 +40,7 @@ type ScanStats struct {
 	Pages int
 }
 
-// scanChunk is one backend page: the raw items, whether the range is
+// scanChunk is one fetched page: the raw items, whether the range is
 // exhausted, and the page's message/peer accounting.
 type scanChunk struct {
 	items []Item
@@ -50,9 +50,8 @@ type scanChunk struct {
 }
 
 // scanPager fetches one page of a scan, clockwise from cursor, with at
-// most want items (<= 0: backend page bounds alone). Implementations keep
-// their own shard position between calls; the cursor carries the resume
-// key.
+// most want items (<= 0: the server's page bounds alone). It keeps its own
+// shard position between calls; the cursor carries the resume key.
 type scanPager func(ctx context.Context, cursor Key, want int) (scanChunk, error)
 
 // Scanner streams the items of a range query page by page. It holds at
@@ -210,17 +209,4 @@ func (s *Scanner) All() iter.Seq2[Item, error] {
 			yield(Item{}, err)
 		}
 	}
-}
-
-// drainScanner buffers a whole scan into a RangeResponse — the engine
-// behind the deprecated RangeQuery methods.
-func drainScanner(s *Scanner) (RangeResponse, error) {
-	var out RangeResponse
-	for s.Next() {
-		out.Items = append(out.Items, s.Item())
-	}
-	st := s.Stats()
-	out.Cost = st.Cost
-	out.PeersScanned = st.PeersScanned
-	return out, s.Err()
 }
