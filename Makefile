@@ -6,7 +6,7 @@ GO ?= go
 # to keep CI fast (the full suite still runs race-free in `test`).
 RACE_PKGS = ./internal/transport/... ./internal/p2p/...
 
-.PHONY: all build test race bench bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing fmt fmt-check vet examples perfbench-check conformance soak soak-smoke soak-docker ci
+.PHONY: all build test race bench bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing bench-storage fmt fmt-check vet examples perfbench-check conformance soak soak-smoke soak-docker ci
 
 all: build
 
@@ -108,6 +108,14 @@ BENCHTIME ?= 1x
 bench-routing:
 	$(GO) test -run=NONE -bench='BenchmarkRoutingZipf' -benchtime=$(BENCHTIME) -timeout 20m . | $(GO) run ./cmd/oscar-benchjson -o BENCH_routing.json
 
+# Storage bench: one shard's new-key put and get cost at 1k, 10k, 100k
+# and 1M items — the chunked-block layout keeps a put near constant as
+# the shard grows. The JSON rendering is the committed BENCH_storage.json;
+# this 1x run is a shape check (regenerate the artifact with
+# BENCHTIME=1s).
+bench-storage:
+	$(GO) test -run=NONE -bench='BenchmarkStorePutNewKey|BenchmarkStoreGet' -benchtime=$(BENCHTIME) -benchmem ./internal/storage/ | $(GO) run ./cmd/oscar-benchjson -o BENCH_storage.json
+
 # Bench smoke: compile and run every benchmark once (shape check, not a
 # measurement). Full measurements: `go test -bench=. -benchtime=2s ./...`.
 bench:
@@ -146,4 +154,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test examples perfbench-check race conformance bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing bench
+ci: fmt-check vet build test examples perfbench-check race conformance bench-replication bench-antientropy bench-stream bench-wal bench-transport bench-routing bench-storage bench

@@ -3,9 +3,16 @@
 // range-partitioned: peer p holds every item whose key falls in the arc
 // (pred(p), p], and range queries scan consecutive peers' stores.
 //
-// Items are kept in a sorted slice: stores hold one peer's shard (thousands
-// of items, not millions), where binary search plus contiguous memory beats
-// pointer-chasing tree structures.
+// Items are kept in chunked sorted blocks: a key-ordered index of small
+// sorted slices, each holding at most blockCap items. A lookup is two
+// binary searches (the index by each block's last key, then the block),
+// and an insert or delete moves at most one block's items, so a put costs
+// the same on a shard of a thousand items as on one of a million — a
+// high-capacity peer that owns a larger arc pays no more per write. A full
+// block splits in two; adjacent blocks whose combined length falls under
+// half a block merge, so deletes and range extractions never leave a long
+// tail of tiny blocks. Blocks stay contiguous, so scans walk memory in
+// order and hand out per-block subslices without copying.
 //
 // Two replication concerns live here alongside the items:
 //
@@ -23,6 +30,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -38,6 +46,15 @@ import (
 const (
 	PageMaxItems = 512
 	PageMaxBytes = 4 << 20
+)
+
+// Block sizing. An insert memmoves half a block on average (8 KiB at 32
+// bytes per Item), which keeps it well under a microsecond, while the
+// index stays small enough (a few thousand headers at a million items) to
+// binary-search from cache.
+const (
+	blockCap   = 512          // most items a block holds; a full block splits
+	mergeBelow = blockCap / 2 // adjacent blocks shorter than this together merge
 )
 
 // Item is one stored record.
@@ -59,8 +76,13 @@ type Tombstone struct {
 // Store is one peer's shard, ordered by key. The zero value is an empty
 // store ready to use.
 type Store struct {
-	items []Item      // sorted by Key ascending
-	tombs []Tombstone // sorted by Key ascending; disjoint from items
+	// blocks partitions the items in key order: every block is sorted,
+	// non-empty and at most blockCap long, each block's keys precede the
+	// next block's, and any two adjacent blocks hold at least mergeBelow
+	// items together.
+	blocks [][]Item
+	n      int         // items across all blocks
+	tombs  []Tombstone // sorted by Key ascending; disjoint from items
 	// tree, when enabled, is the incrementally-maintained digest of items
 	// and tombstones together.
 	tree *antientropy.Tree
@@ -71,14 +93,43 @@ type Store struct {
 }
 
 // Len returns the number of live items (tombstones excluded).
-func (s *Store) Len() int { return len(s.items) }
+func (s *Store) Len() int { return s.n }
 
 // TombstoneCount returns the number of recorded tombstones.
 func (s *Store) TombstoneCount() int { return len(s.tombs) }
 
-// search returns the index of the first item with key >= k.
-func (s *Store) search(k keyspace.Key) int {
-	return sort.Search(len(s.items), func(i int) bool { return s.items[i].Key >= k })
+// search returns the position (block b, index i) of the first item with
+// key >= k, or (len(s.blocks), 0) when every key is below k.
+func (s *Store) search(k keyspace.Key) (b, i int) {
+	lo, hi := 0, len(s.blocks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if blk := s.blocks[m]; blk[len(blk)-1].Key < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(s.blocks) {
+		return lo, 0
+	}
+	blk := s.blocks[lo]
+	i, j := 0, len(blk)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if blk[m].Key < k {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return lo, i
+}
+
+// find returns the position of the item with key k, if present.
+func (s *Store) find(k keyspace.Key) (b, i int, ok bool) {
+	b, i = s.search(k)
+	return b, i, b < len(s.blocks) && s.blocks[b][i].Key == k
 }
 
 // searchTomb returns the index of the first tombstone with key >= k.
@@ -99,25 +150,54 @@ func (s *Store) apply(k keyspace.Key, h uint64) {
 func (s *Store) Put(k keyspace.Key, v []byte) (replaced bool) {
 	s.emit(Mutation{Op: MutPut, Key: k, Value: v})
 	s.clearTombstone(k)
-	i := s.search(k)
-	if i < len(s.items) && s.items[i].Key == k {
-		s.apply(k, antientropy.ItemHash(k, s.items[i].Value))
-		s.items[i].Value = v
+	b, i, ok := s.find(k)
+	if ok {
+		it := &s.blocks[b][i]
+		s.apply(k, antientropy.ItemHash(k, it.Value))
+		it.Value = v
 		s.apply(k, antientropy.ItemHash(k, v))
 		return true
 	}
-	s.items = append(s.items, Item{})
-	copy(s.items[i+1:], s.items[i:])
-	s.items[i] = Item{Key: k, Value: v}
+	s.insertAt(b, i, Item{Key: k, Value: v})
 	s.apply(k, antientropy.ItemHash(k, v))
 	return false
 }
 
+// insertAt inserts it at position (b, i) as returned by search, splitting
+// a full block first. Only the one block receiving the item is moved.
+func (s *Store) insertAt(b, i int, it Item) {
+	if len(s.blocks) == 0 {
+		s.blocks = append(s.blocks, nil)
+	}
+	if b == len(s.blocks) { // past every key: append to the last block
+		b--
+		i = len(s.blocks[b])
+	}
+	if blk := s.blocks[b]; len(blk) == blockCap {
+		h := blockCap / 2
+		s.blocks[b] = append(make([]Item, 0, h), blk[:h]...)
+		s.blocks = slices.Insert(s.blocks, b+1, append(make([]Item, 0, blockCap-h), blk[h:]...))
+		if i > h {
+			b, i = b+1, i-h
+		}
+	}
+	blk := s.blocks[b]
+	if len(blk) == cap(blk) {
+		// Grow by about an eighth, not append's doubling: blocks are
+		// numerous, and their spare capacity is the store's heap overhead.
+		blk = append(make([]Item, 0, min(blockCap, len(blk)+max(len(blk)/8, 8))), blk...)
+	}
+	blk = blk[:len(blk)+1]
+	copy(blk[i+1:], blk[i:])
+	blk[i] = it
+	s.blocks[b] = blk
+	s.n++
+}
+
 // Get returns the value for k.
 func (s *Store) Get(k keyspace.Key) ([]byte, bool) {
-	i := s.search(k)
-	if i < len(s.items) && s.items[i].Key == k {
-		return s.items[i].Value, true
+	if b, i, ok := s.find(k); ok {
+		return s.blocks[b][i].Value, true
 	}
 	return nil, false
 }
@@ -140,13 +220,62 @@ func (s *Store) DeleteAt(k keyspace.Key, at int64) bool {
 
 // removeItem removes the live item for k without recording a tombstone.
 func (s *Store) removeItem(k keyspace.Key) bool {
-	i := s.search(k)
-	if i == len(s.items) || s.items[i].Key != k {
+	b, i, ok := s.find(k)
+	if !ok {
 		return false
 	}
-	s.apply(k, antientropy.ItemHash(k, s.items[i].Value))
-	s.items = append(s.items[:i], s.items[i+1:]...)
+	s.apply(k, antientropy.ItemHash(k, s.blocks[b][i].Value))
+	s.cut(b, i, 1)
 	return true
+}
+
+// cut removes up to n consecutive items starting at position (b, i),
+// stopping at the end of the store, and returns how many it removed.
+// Emptied blocks are dropped and undersized neighbours merged.
+func (s *Store) cut(b, i, n int) int {
+	first, removed := b, 0
+	for ; b < len(s.blocks) && removed < n; b, i = b+1, 0 {
+		blk := s.blocks[b]
+		j := min(len(blk), i+n-removed)
+		removed += j - i
+		kept := i + copy(blk[i:], blk[j:])
+		clear(blk[kept:]) // release the vacated values
+		s.blocks[b] = blk[:kept]
+	}
+	s.n -= removed
+	// Blocks first..b-1 shrank; first-1 and b did not, so the pairs just
+	// outside this window still meet the merge invariant.
+	s.repack(first-1, b)
+	return removed
+}
+
+// repack restores the block invariants over s.blocks[lo..hi] (clamped):
+// empty blocks are dropped and each block merges into its predecessor in
+// the window while the two together hold fewer than mergeBelow items. One
+// greedy pass suffices: a block that survives only ever grows afterwards,
+// so every pair it forms stays at or above mergeBelow.
+func (s *Store) repack(lo, hi int) {
+	lo, hi = max(lo, 0), min(hi, len(s.blocks)-1)
+	w := lo
+	for r := lo; r <= hi; r++ {
+		blk := s.blocks[r]
+		if len(blk) == 0 {
+			continue
+		}
+		if w > lo && len(s.blocks[w-1])+len(blk) < mergeBelow {
+			prev := s.blocks[w-1]
+			if len(prev)+len(blk) > cap(prev) {
+				prev = append(make([]Item, 0, len(prev)+len(blk)), prev...)
+			}
+			s.blocks[w-1] = append(prev, blk...)
+			continue
+		}
+		s.blocks[w] = blk
+		w++
+	}
+	if w <= hi {
+		s.blocks = slices.Delete(s.blocks, w, hi+1)
+	}
 }
 
 // setTomb records (or refreshes) the tombstone for k, keeping the newest
@@ -241,38 +370,14 @@ func (s *Store) GCTombstones(cutoff int64) int {
 // arcs are handled (the scan may start near the top of the key space and
 // continue from the bottom). Tombstoned keys are not visited.
 func (s *Store) Scan(rg keyspace.Range, fn func(Item) bool) {
-	if len(s.items) == 0 {
-		return
-	}
-	if rg.IsFull() {
-		// Clockwise from rg.Start over the whole circle.
-		start := s.search(rg.Start)
-		for i := 0; i < len(s.items); i++ {
-			if !fn(s.items[(start+i)%len(s.items)]) {
-				return
+	s.eachView(rg, func(view []Item) bool {
+		for _, it := range view {
+			if !fn(it) {
+				return false
 			}
 		}
-		return
-	}
-	if rg.Start < rg.End {
-		for i := s.search(rg.Start); i < len(s.items) && s.items[i].Key < rg.End; i++ {
-			if !fn(s.items[i]) {
-				return
-			}
-		}
-		return
-	}
-	// Wrapping arc: [Start, MaxKey] then [0, End).
-	for i := s.search(rg.Start); i < len(s.items); i++ {
-		if !fn(s.items[i]) {
-			return
-		}
-	}
-	for i := 0; i < len(s.items) && s.items[i].Key < rg.End; i++ {
-		if !fn(s.items[i]) {
-			return
-		}
-	}
+		return true
+	})
 }
 
 // ScanPage returns up to maxItems items (whose accumulated value bytes
@@ -301,22 +406,57 @@ func (s *Store) ScanPage(rg keyspace.Range, maxItems, maxBytes int) (out []Item,
 	return out, more
 }
 
-// rangeViews returns up to two subslice views of s.items covering rg in
-// clockwise order from rg.Start (two when the arc wraps the top of the
-// circle). The views alias the store's backing array — read-only, valid
+// rangeViews returns per-block subslice views of the store covering rg in
+// clockwise order from rg.Start (a wrapping arc continues from the bottom
+// of the key space). The views alias the store's blocks — read-only, valid
 // until the next mutation.
 func (s *Store) rangeViews(rg keyspace.Range) [][]Item {
-	if s == nil || len(s.items) == 0 {
-		return nil
+	var out [][]Item
+	s.eachView(rg, func(view []Item) bool {
+		out = append(out, view)
+		return true
+	})
+	return out
+}
+
+// eachView calls fn with the views rangeViews returns, in order, without
+// collecting them; fn returning false stops the walk.
+func (s *Store) eachView(rg keyspace.Range, fn func([]Item) bool) {
+	if s == nil || s.n == 0 {
+		return
 	}
-	i := s.search(rg.Start)
-	if rg.IsFull() {
-		return [][]Item{s.items[i:], s.items[:i]}
+	b, i := s.search(rg.Start)
+	eb, ei := b, i // a full arc ends back at rg.Start
+	if !rg.IsFull() {
+		eb, ei = s.search(rg.End)
 	}
 	if rg.Start < rg.End {
-		return [][]Item{s.items[i:s.search(rg.End)]}
+		s.spanViews(b, i, eb, ei, fn)
+		return
 	}
-	return [][]Item{s.items[i:], s.items[:s.search(rg.End)]}
+	// The arc runs to the top of the key space, then on from the bottom.
+	if s.spanViews(b, i, len(s.blocks), 0, fn) {
+		s.spanViews(0, 0, eb, ei, fn)
+	}
+}
+
+// spanViews calls fn with the non-empty per-block subslices holding the
+// items from position (b0, i0) up to, not including, position (b1, i1),
+// and reports whether fn accepted every view.
+func (s *Store) spanViews(b0, i0, b1, i1 int, fn func([]Item) bool) bool {
+	for b := b0; b <= b1 && b < len(s.blocks); b++ {
+		lo, hi := 0, len(s.blocks[b])
+		if b == b0 {
+			lo = i0
+		}
+		if b == b1 {
+			hi = i1
+		}
+		if lo < hi && !fn(s.blocks[b][lo:hi]) {
+			return false
+		}
+	}
+	return true
 }
 
 // pageWalker pulls items one at a time from a store's clockwise range
@@ -404,7 +544,34 @@ func nextMerged(p, f *pageWalker, start keyspace.Key, primary *Store) (Item, boo
 // Items returns all items in key order (a copy of the slice headers; values
 // are shared).
 func (s *Store) Items() []Item {
-	return append([]Item(nil), s.items...)
+	if s.n == 0 {
+		return nil
+	}
+	out := make([]Item, 0, s.n)
+	for _, blk := range s.blocks {
+		out = append(out, blk...)
+	}
+	return out
+}
+
+// Walk visits the whole store in place, without copying the shard: every
+// live item in key order, then every tombstone in key order. The first
+// non-nil error from either callback stops the walk and is returned. The
+// callbacks must not mutate the store.
+func (s *Store) Walk(item func(Item) error, tomb func(Tombstone) error) error {
+	for _, blk := range s.blocks {
+		for _, it := range blk {
+			if err := item(it); err != nil {
+				return err
+			}
+		}
+	}
+	for _, tb := range s.tombs {
+		if err := tomb(tb); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ExtractRange removes and returns the items whose keys lie in rg — the
@@ -413,17 +580,22 @@ func (s *Store) Items() []Item {
 // separately with ExtractTombstones.
 func (s *Store) ExtractRange(rg keyspace.Range) []Item {
 	var out []Item
-	kept := s.items[:0]
-	for _, it := range s.items {
-		if rg.Contains(it.Key) {
-			s.emit(Mutation{Op: MutRemoveItem, Key: it.Key})
-			s.apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
-			out = append(out, it)
-		} else {
-			kept = append(kept, it)
+	for b, blk := range s.blocks {
+		kept := blk[:0]
+		for _, it := range blk {
+			if rg.Contains(it.Key) {
+				s.emit(Mutation{Op: MutRemoveItem, Key: it.Key})
+				s.apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
+				out = append(out, it)
+			} else {
+				kept = append(kept, it)
+			}
 		}
+		clear(blk[len(kept):])
+		s.blocks[b] = kept
 	}
-	s.items = kept
+	s.n -= len(out)
+	s.repack(0, len(s.blocks)-1)
 	return out
 }
 
@@ -436,23 +608,16 @@ func (s *Store) ExtractRange(rg keyspace.Range) []Item {
 // chunk — the pagination primitive for migrating a large arc in bounded
 // frames.
 func (s *Store) ExtractRangeLimit(rg keyspace.Range, maxItems, maxBytes int) (out []Item, more bool) {
-	bytes := 0
-	s.Scan(rg, func(it Item) bool {
-		if maxItems > 0 && len(out) >= maxItems {
-			more = true
-			return false
-		}
-		if maxBytes > 0 && len(out) > 0 && bytes+len(it.Value) > maxBytes {
-			more = true
-			return false
-		}
-		bytes += len(it.Value)
-		out = append(out, it)
-		return true
-	})
+	out, more = s.ScanPage(rg, maxItems, maxBytes)
 	for _, it := range out {
 		s.emit(Mutation{Op: MutRemoveItem, Key: it.Key})
-		s.removeItem(it.Key)
+		s.apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
+	}
+	// The page is one clockwise run from rg.Start, wrapping past the top
+	// of the key space at most once.
+	b, i := s.search(rg.Start)
+	if n := s.cut(b, i, len(out)); n < len(out) {
+		s.cut(0, 0, len(out)-n)
 	}
 	return out, more
 }
@@ -486,13 +651,15 @@ func (s *Store) InsertBulk(items []Item) {
 // tree of the given depth, seeded from the store's current contents. Every
 // subsequent mutation updates it in O(1).
 func (s *Store) EnableDigest(depth int) {
-	s.tree = antientropy.NewTree(depth)
-	for _, it := range s.items {
-		s.tree.Apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
-	}
-	for _, tb := range s.tombs {
-		s.tree.Apply(tb.Key, antientropy.TombHash(tb.Key))
-	}
+	t := antientropy.NewTree(depth)
+	_ = s.Walk(func(it Item) error {
+		t.Apply(it.Key, antientropy.ItemHash(it.Key, it.Value))
+		return nil
+	}, func(tb Tombstone) error {
+		t.Apply(tb.Key, antientropy.TombHash(tb.Key))
+		return nil
+	}) // the callbacks never fail
+	s.tree = t
 }
 
 // DigestLeaves returns the maintained digest's leaf vector, or nil if

@@ -223,12 +223,13 @@ func BenchmarkArcDigest(b *testing.B) {
 
 	b.Run("incremental-put", func(b *testing.B) {
 		s := mkStore(true)
+		keys := s.Items()
 		val := make([]byte, 64)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Overwrite in place: isolates hash+toggle from slice growth.
-			s.Put(s.items[i%items].Key, val)
+			s.Put(keys[i%len(keys)].Key, val)
 		}
 	})
 

@@ -21,9 +21,11 @@ const (
 	// PolicyInterval fsyncs on a background timer (FsyncInterval):
 	// a crash loses at most one interval of acked writes.
 	PolicyInterval
-	// PolicyNever flushes to the OS but never fsyncs: a process crash
-	// loses nothing, a machine crash can lose everything since the
-	// last snapshot.
+	// PolicyNever never fsyncs. Appends sit in a user-space buffer
+	// until the background flusher hands them to the OS, once per
+	// FsyncInterval (Close flushes the rest): a process crash can lose
+	// up to one interval of acked writes, a machine crash everything
+	// since the last snapshot.
 	PolicyNever
 )
 

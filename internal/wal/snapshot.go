@@ -104,20 +104,12 @@ func writeSnapshotFile(dir string, primary, replica *storage.Store, savedAt int6
 		if err != nil {
 			break
 		}
-		id, s := st.id, st.s
-		for _, it := range s.Items() {
-			if err = emit(Record{Store: id, Mut: storage.Mutation{Op: storage.MutPut, Key: it.Key, Value: it.Value}}); err != nil {
-				break
-			}
-		}
-		if err != nil {
-			break
-		}
-		for _, tb := range s.Tombstones() {
-			if err = emit(Record{Store: id, Mut: storage.Mutation{Op: storage.MutTombstone, Key: tb.Key, At: tb.At}}); err != nil {
-				break
-			}
-		}
+		id := st.id
+		err = st.s.Walk(func(it storage.Item) error {
+			return emit(Record{Store: id, Mut: storage.Mutation{Op: storage.MutPut, Key: it.Key, Value: it.Value}})
+		}, func(tb storage.Tombstone) error {
+			return emit(Record{Store: id, Mut: storage.Mutation{Op: storage.MutTombstone, Key: tb.Key, At: tb.At}})
+		})
 	}
 	if err == nil {
 		err = w.Flush()

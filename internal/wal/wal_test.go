@@ -295,8 +295,9 @@ func TestPolicyNeverAndIntervalStillRecoverAfterClose(t *testing.T) {
 				}
 			}
 			// Close flushes the buffer to the OS even when the policy
-			// never fsyncs, so a process exit (not a machine crash)
-			// loses nothing.
+			// never fsyncs, so a clean shutdown loses nothing. A
+			// process crash before Close can lose the appends still
+			// buffered since the last interval flush.
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
 			}

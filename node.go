@@ -123,9 +123,10 @@ type NodeConfig struct {
 	DataDir string
 	// Fsync selects the WAL durability policy when DataDir is set:
 	// "always" (fsync before every acked write), "interval" (background
-	// fsync every ~100ms — the default), or "never" (flush to the OS,
-	// never fsync: a machine crash can lose everything since the last
-	// snapshot, a process crash nothing).
+	// fsync every ~100ms — the default), or "never" (hand buffered
+	// appends to the OS every ~100ms, never fsync: a process crash can
+	// lose the last ~100ms of acked writes, a machine crash everything
+	// since the last snapshot).
 	Fsync string
 	// WrapTransport, when set, wraps the node's transport endpoint before
 	// the overlay runtime attaches to it — the interposition hook fault
